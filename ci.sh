@@ -22,6 +22,11 @@ cargo test --workspace -q
 echo "== cargo test -p ppa-core --features verify -q"
 cargo test -p ppa-core --features verify -q
 
+# The same suite on the optimised build: the validator equivalence tests
+# must hold where release code generation applies.
+echo "== cargo test -p ppa-core --features verify --release -q"
+cargo test -p ppa-core --features verify --release -q
+
 # The pool on both feature graphs: standalone (default features) and
 # alongside ppa-verify, whose dependency tree switches on ppa-core/verify.
 echo "== cargo test -p ppa-pool -q"

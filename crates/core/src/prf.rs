@@ -212,6 +212,23 @@ impl Prf {
         (0..self.size(class) as u16).map(move |i| PhysReg::new(class, i))
     }
 
+    /// Iterator over the class's allocated registers, in index order.
+    pub fn allocated_regs(&self, class: RegClass) -> impl Iterator<Item = PhysReg> + '_ {
+        self.bank(class)
+            .allocated
+            .iter()
+            .enumerate()
+            .filter(|&(_, &allocated)| allocated)
+            .map(move |(i, _)| PhysReg::new(class, i as u16))
+    }
+
+    /// Pushes `reg` onto its free list without touching its allocation
+    /// state: the corrupted free lists of the validator tests.
+    #[cfg(test)]
+    pub(crate) fn push_free_unchecked(&mut self, reg: PhysReg) {
+        self.bank_mut(reg.class()).free.push(reg.index());
+    }
+
     /// Iterator over the class's free list, in stack order. Exposed for
     /// the verification layer's duplicate/overlap checks.
     pub fn free_regs(&self, class: RegClass) -> impl Iterator<Item = PhysReg> + '_ {
@@ -247,6 +264,8 @@ mod tests {
         assert_eq!(prf.allocate(RegClass::Fp, 0), Some(p));
     }
 
+    // The panic comes from a `debug_assert!`, so release builds skip it.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_panics_in_debug() {

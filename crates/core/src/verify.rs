@@ -30,7 +30,6 @@ use crate::ppa::mask::MaskReg;
 use crate::prf::{PhysReg, Prf};
 use crate::rename::RenameTable;
 use ppa_isa::{RegClass, UopKind};
-use std::collections::HashSet;
 use std::fmt;
 
 /// A deliberately injected bug, used by the mutation self-tests to prove
@@ -51,6 +50,16 @@ pub enum FaultKind {
     /// Drop the deferred free list at region boundaries instead of
     /// returning it to the free list — a permanent physical-register leak.
     LeakDeferredFrees,
+}
+
+impl FaultKind {
+    /// Every injectable fault, in declaration order.
+    pub const ALL: [FaultKind; 4] = [
+        FaultKind::SkipMaskPin,
+        FaultKind::EagerFreeMasked,
+        FaultKind::SkipCsqEntry,
+        FaultKind::LeakDeferredFrees,
+    ];
 }
 
 /// The invariant classes the built-in validators check. Every violation
@@ -148,6 +157,39 @@ pub enum InvariantKind {
 }
 
 impl InvariantKind {
+    /// Every kind, in declaration order: the 23 per-core kinds, the
+    /// advisory note, then the four cross-core kinds.
+    pub const ALL: [InvariantKind; 28] = [
+        InvariantKind::FreeListDuplicate,
+        InvariantKind::FreeListAllocatedOverlap,
+        InvariantKind::RatDanglingMapping,
+        InvariantKind::RatDuplicateMapping,
+        InvariantKind::CrtDanglingMapping,
+        InvariantKind::CrtDuplicateMapping,
+        InvariantKind::MaskedRegisterFree,
+        InvariantKind::MaskedRegisterReallocated,
+        InvariantKind::MaskedNotStoreSource,
+        InvariantKind::CsqSourceUnmasked,
+        InvariantKind::CsqSourceFreed,
+        InvariantKind::DeferredFreeUnmasked,
+        InvariantKind::PpaStateOutsidePpaMode,
+        InvariantKind::CsqOverCapacity,
+        InvariantKind::CsqEntryInvalidSize,
+        InvariantKind::CsqReordered,
+        InvariantKind::CsqShrankWithinRegion,
+        InvariantKind::CsqStoreCountMismatch,
+        InvariantKind::RobSequenceGap,
+        InvariantKind::IssueQueueOrphan,
+        InvariantKind::LoadQueueCountMismatch,
+        InvariantKind::StoreQueueCountMismatch,
+        InvariantKind::PrfLeak,
+        InvariantKind::AttachedMidRegion,
+        InvariantKind::CrossCoreDrainOrder,
+        InvariantKind::PersistBeforeDependence,
+        InvariantKind::RecoveryImageOverlap,
+        InvariantKind::ArbiterUnfair,
+    ];
+
     /// Stable, kebab-case name for reports and CLIs.
     pub fn name(self) -> &'static str {
         match self {
@@ -352,8 +394,6 @@ impl CoreView<'_> {
     }
 }
 
-/// A pluggable cycle-level check. Implementations may keep state between
-/// cycles (e.g. the CSQ FIFO check snapshots the previous contents).
 /// Per-validator cost accounting, kept by the core alongside each
 /// attached validator: cycles checked and wall time spent inside
 /// [`Validator::check`]. This is plain data (no telemetry dependency)
@@ -379,6 +419,8 @@ impl ValidatorTiming {
     }
 }
 
+/// A pluggable cycle-level check. Implementations may keep state between
+/// cycles (e.g. the CSQ FIFO check snapshots the previous contents).
 pub trait Validator: fmt::Debug {
     /// Stable name, shown in reports.
     fn name(&self) -> &'static str;
@@ -387,9 +429,71 @@ pub trait Validator: fmt::Debug {
     fn check(&mut self, view: &CoreView<'_>, out: &mut Vec<Violation>);
 }
 
+/// A set of physical registers, one bit per register of a PRF, int bank
+/// first. The scan checks each own one and [`RegSet::reset`] it every
+/// cycle, so after the first cycle a check allocates nothing.
+#[derive(Debug, Default)]
+struct RegSet {
+    words: Vec<u64>,
+    /// The int and fp bank sizes.
+    sizes: [usize; 2],
+}
+
+impl RegSet {
+    /// Empties the set and sizes it to `prf`. The storage is reused, so
+    /// this reallocates only when the PRF is larger than any seen before.
+    fn reset(&mut self, prf: &Prf) {
+        self.sizes = [prf.size(RegClass::Int), prf.size(RegClass::Fp)];
+        self.words.clear();
+        self.words
+            .resize((self.sizes[0] + self.sizes[1]).div_ceil(64), 0);
+    }
+
+    /// The bit that stands for `reg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reg` lies outside the PRF the set was sized to.
+    fn bit(&self, reg: PhysReg) -> usize {
+        let index = reg.index() as usize;
+        let (base, size) = match reg.class() {
+            RegClass::Int => (0, self.sizes[0]),
+            RegClass::Fp => (self.sizes[0], self.sizes[1]),
+        };
+        assert!(index < size, "{reg} lies outside the PRF");
+        base + index
+    }
+
+    /// Adds `reg`, returning whether it was absent (as `HashSet::insert`).
+    fn insert(&mut self, reg: PhysReg) -> bool {
+        let bit = self.bit(reg);
+        let word = &mut self.words[bit / 64];
+        let mask = 1 << (bit % 64);
+        let absent = *word & mask == 0;
+        *word |= mask;
+        absent
+    }
+
+    /// Whether `reg` is in the set.
+    fn contains(&self, reg: PhysReg) -> bool {
+        let bit = self.bit(reg);
+        self.words[bit / 64] & (1 << (bit % 64)) != 0
+    }
+}
+
+impl Extend<PhysReg> for RegSet {
+    fn extend<I: IntoIterator<Item = PhysReg>>(&mut self, regs: I) {
+        for reg in regs {
+            self.insert(reg);
+        }
+    }
+}
+
 /// Free-list integrity: no duplicates, no overlap with allocated state.
 #[derive(Debug, Default)]
-pub struct FreeListCheck;
+pub struct FreeListCheck {
+    seen: RegSet,
+}
 
 impl Validator for FreeListCheck {
     fn name(&self) -> &'static str {
@@ -397,10 +501,10 @@ impl Validator for FreeListCheck {
     }
 
     fn check(&mut self, view: &CoreView<'_>, out: &mut Vec<Violation>) {
+        self.seen.reset(view.prf());
         for class in [RegClass::Int, RegClass::Fp] {
-            let mut seen = HashSet::new();
             for reg in view.prf().free_regs(class) {
-                if !seen.insert(reg) {
+                if !self.seen.insert(reg) {
                     out.push(view.violation(
                         InvariantKind::FreeListDuplicate,
                         self.name(),
@@ -422,7 +526,9 @@ impl Validator for FreeListCheck {
 /// RAT/CRT consistency: mappings target allocated registers, and no
 /// physical register backs two architectural ones.
 #[derive(Debug, Default)]
-pub struct RenameCheck;
+pub struct RenameCheck {
+    seen: RegSet,
+}
 
 impl Validator for RenameCheck {
     fn name(&self) -> &'static str {
@@ -445,7 +551,7 @@ impl Validator for RenameCheck {
             ),
         ];
         for (table, label, dangling, duplicate) in tables {
-            let mut seen = HashSet::new();
+            self.seen.reset(view.prf());
             for (arch, phys) in table.iter() {
                 if !view.prf().is_allocated(phys) {
                     out.push(view.violation(
@@ -454,7 +560,7 @@ impl Validator for RenameCheck {
                         format!("{label} maps {arch} to free {phys}"),
                     ));
                 }
-                if !seen.insert(phys) {
+                if !self.seen.insert(phys) {
                     out.push(view.violation(
                         duplicate,
                         self.name(),
@@ -470,7 +576,9 @@ impl Validator for RenameCheck {
 /// sources, every pinned register is allocated, and deferred frees are
 /// pinned. Outside PPA mode, MaskReg and CSQ must stay empty.
 #[derive(Debug, Default)]
-pub struct MaskRegCheck;
+pub struct MaskRegCheck {
+    csq_sources: RegSet,
+}
 
 impl Validator for MaskRegCheck {
     fn name(&self) -> &'static str {
@@ -493,7 +601,8 @@ impl Validator for MaskRegCheck {
             }
             return;
         }
-        let csq_sources: HashSet<PhysReg> = view.csq().iter().map(|e| e.src).collect();
+        self.csq_sources.reset(view.prf());
+        self.csq_sources.extend(view.csq().iter().map(|e| e.src));
         for slot in view.rob() {
             if let Some(dst) = slot.dst {
                 if view.mask().is_masked(dst) {
@@ -516,7 +625,7 @@ impl Validator for MaskRegCheck {
                     format!("masked {reg} is on the free list"),
                 ));
             }
-            if !csq_sources.contains(&reg) {
+            if !self.csq_sources.contains(reg) {
                 out.push(view.violation(
                     InvariantKind::MaskedNotStoreSource,
                     self.name(),
@@ -597,20 +706,19 @@ impl Validator for CsqOrderCheck {
             }
         }
 
-        let current: Vec<CsqEntry> = csq.iter().copied().collect();
         let same_region = self.last_regions == Some(view.regions_completed());
         if same_region {
-            if current.len() < self.snapshot.len() {
+            if csq.len() < self.snapshot.len() {
                 out.push(view.violation(
                     InvariantKind::CsqShrankWithinRegion,
                     self.name(),
                     format!(
                         "CSQ went from {} to {} entries with no boundary",
                         self.snapshot.len(),
-                        current.len()
+                        csq.len()
                     ),
                 ));
-            } else if current[..self.snapshot.len()] != self.snapshot[..] {
+            } else if !csq.iter().take(self.snapshot.len()).eq(&self.snapshot) {
                 out.push(view.violation(
                     InvariantKind::CsqReordered,
                     self.name(),
@@ -627,7 +735,7 @@ impl Validator for CsqOrderCheck {
             // ordering was never observed, so this validator cannot rule
             // out a pre-existing reorder among them.
             if self.last_regions.is_none() {
-                self.carried = current.len().saturating_sub(view.region_stores() as usize);
+                self.carried = csq.len().saturating_sub(view.region_stores() as usize);
                 if self.carried > 0 {
                     out.push(view.violation(
                         InvariantKind::AttachedMidRegion,
@@ -637,7 +745,7 @@ impl Validator for CsqOrderCheck {
                              ({} present, {} committed this region); their ordering \
                              was not validated",
                             self.carried,
-                            current.len(),
+                            csq.len(),
                             view.region_stores()
                         ),
                     ));
@@ -648,19 +756,20 @@ impl Validator for CsqOrderCheck {
             self.last_regions = Some(view.regions_completed());
         }
         let expected = self.carried + view.region_stores() as usize;
-        if current.len() != expected {
+        if csq.len() != expected {
             out.push(view.violation(
                 InvariantKind::CsqStoreCountMismatch,
                 self.name(),
                 format!(
                     "{} CSQ entries but {} stores committed this region (+{} carried)",
-                    current.len(),
+                    csq.len(),
                     view.region_stores(),
                     self.carried
                 ),
             ));
         }
-        self.snapshot = current;
+        self.snapshot.clear();
+        self.snapshot.extend(csq.iter().copied());
     }
 }
 
@@ -735,7 +844,9 @@ impl Validator for RobAgeCheck {
 /// the deferred-free list. (The double-free direction is covered by
 /// [`FreeListCheck`]'s overlap detection.)
 #[derive(Debug, Default)]
-pub struct PrfLeakCheck;
+pub struct PrfLeakCheck {
+    reachable: RegSet,
+}
 
 impl Validator for PrfLeakCheck {
     fn name(&self) -> &'static str {
@@ -743,7 +854,8 @@ impl Validator for PrfLeakCheck {
     }
 
     fn check(&mut self, view: &CoreView<'_>, out: &mut Vec<Violation>) {
-        let mut reachable: HashSet<PhysReg> = HashSet::new();
+        let reachable = &mut self.reachable;
+        reachable.reset(view.prf());
         reachable.extend(view.rat().iter().map(|(_, p)| p));
         reachable.extend(view.crt().iter().map(|(_, p)| p));
         reachable.extend(view.mask().masked_regs());
@@ -752,11 +864,11 @@ impl Validator for PrfLeakCheck {
             reachable.extend(slot.dst);
             reachable.extend(slot.prev);
             reachable.extend(slot.store_data);
-            reachable.extend(slot.srcs.iter().flatten());
+            reachable.extend(slot.srcs.iter().flatten().copied());
         }
         for class in [RegClass::Int, RegClass::Fp] {
-            for reg in view.prf().regs(class) {
-                if view.prf().is_allocated(reg) && !reachable.contains(&reg) {
+            for reg in view.prf().allocated_regs(class) {
+                if !self.reachable.contains(reg) {
                     out.push(view.violation(
                         InvariantKind::PrfLeak,
                         self.name(),
@@ -771,12 +883,12 @@ impl Validator for PrfLeakCheck {
 /// The full built-in validator suite.
 pub fn default_validators() -> Vec<Box<dyn Validator>> {
     vec![
-        Box::new(FreeListCheck),
-        Box::new(RenameCheck),
-        Box::new(MaskRegCheck),
+        Box::new(FreeListCheck::default()),
+        Box::new(RenameCheck::default()),
+        Box::new(MaskRegCheck::default()),
         Box::new(CsqOrderCheck::default()),
         Box::new(RobAgeCheck),
-        Box::new(PrfLeakCheck),
+        Box::new(PrfLeakCheck::default()),
     ]
 }
 
@@ -785,12 +897,217 @@ pub fn default_validators() -> Vec<Box<dyn Validator>> {
 /// ad-hoc asserts, expressed as named invariants.
 pub fn check_snapshot(view: &CoreView<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
-    FreeListCheck.check(view, &mut out);
-    RenameCheck.check(view, &mut out);
-    MaskRegCheck.check(view, &mut out);
+    FreeListCheck::default().check(view, &mut out);
+    RenameCheck::default().check(view, &mut out);
+    MaskRegCheck::default().check(view, &mut out);
     RobAgeCheck.check(view, &mut out);
-    PrfLeakCheck.check(view, &mut out);
+    PrfLeakCheck::default().check(view, &mut out);
     out
+}
+
+/// The `HashSet` versions of the four scan checks, as they were before
+/// [`RegSet`] replaced them: the reference the equivalence tests compare
+/// the bitset checks against, violation for violation.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use std::collections::HashSet;
+
+    #[derive(Debug)]
+    pub struct FreeListCheck;
+
+    impl Validator for FreeListCheck {
+        fn name(&self) -> &'static str {
+            "free-list"
+        }
+
+        fn check(&mut self, view: &CoreView<'_>, out: &mut Vec<Violation>) {
+            for class in [RegClass::Int, RegClass::Fp] {
+                let mut seen = HashSet::new();
+                for reg in view.prf().free_regs(class) {
+                    if !seen.insert(reg) {
+                        out.push(view.violation(
+                            InvariantKind::FreeListDuplicate,
+                            self.name(),
+                            format!("{reg} appears twice in the free list"),
+                        ));
+                    }
+                    if view.prf().is_allocated(reg) {
+                        out.push(view.violation(
+                            InvariantKind::FreeListAllocatedOverlap,
+                            self.name(),
+                            format!("{reg} is free-listed while allocated"),
+                        ));
+                    }
+                }
+            }
+        }
+    }
+
+    #[derive(Debug)]
+    pub struct RenameCheck;
+
+    impl Validator for RenameCheck {
+        fn name(&self) -> &'static str {
+            "rename"
+        }
+
+        fn check(&mut self, view: &CoreView<'_>, out: &mut Vec<Violation>) {
+            let tables = [
+                (
+                    view.rat(),
+                    "RAT",
+                    InvariantKind::RatDanglingMapping,
+                    InvariantKind::RatDuplicateMapping,
+                ),
+                (
+                    view.crt(),
+                    "CRT",
+                    InvariantKind::CrtDanglingMapping,
+                    InvariantKind::CrtDuplicateMapping,
+                ),
+            ];
+            for (table, label, dangling, duplicate) in tables {
+                let mut seen = HashSet::new();
+                for (arch, phys) in table.iter() {
+                    if !view.prf().is_allocated(phys) {
+                        out.push(view.violation(
+                            dangling,
+                            self.name(),
+                            format!("{label} maps {arch} to free {phys}"),
+                        ));
+                    }
+                    if !seen.insert(phys) {
+                        out.push(view.violation(
+                            duplicate,
+                            self.name(),
+                            format!("{phys} mapped twice in the {label}"),
+                        ));
+                    }
+                }
+            }
+        }
+    }
+
+    #[derive(Debug)]
+    pub struct MaskRegCheck;
+
+    impl Validator for MaskRegCheck {
+        fn name(&self) -> &'static str {
+            "maskreg"
+        }
+
+        fn check(&mut self, view: &CoreView<'_>, out: &mut Vec<Violation>) {
+            if view.config().mode != PersistenceMode::Ppa {
+                if !view.mask().is_empty() || !view.csq().is_empty() {
+                    out.push(view.violation(
+                        InvariantKind::PpaStateOutsidePpaMode,
+                        self.name(),
+                        format!(
+                            "mode {:?} has {} masked regs and {} CSQ entries",
+                            view.config().mode,
+                            view.mask().masked_count(),
+                            view.csq().len()
+                        ),
+                    ));
+                }
+                return;
+            }
+            let csq_sources: HashSet<PhysReg> = view.csq().iter().map(|e| e.src).collect();
+            for slot in view.rob() {
+                if let Some(dst) = slot.dst {
+                    if view.mask().is_masked(dst) {
+                        out.push(view.violation(
+                            InvariantKind::MaskedRegisterReallocated,
+                            self.name(),
+                            format!(
+                                "masked {dst} recycled as the destination of seq {}",
+                                slot.seq
+                            ),
+                        ));
+                    }
+                }
+            }
+            for reg in view.mask().masked_regs() {
+                if !view.prf().is_allocated(reg) {
+                    out.push(view.violation(
+                        InvariantKind::MaskedRegisterFree,
+                        self.name(),
+                        format!("masked {reg} is on the free list"),
+                    ));
+                }
+                if !csq_sources.contains(&reg) {
+                    out.push(view.violation(
+                        InvariantKind::MaskedNotStoreSource,
+                        self.name(),
+                        format!("masked {reg} feeds no CSQ entry"),
+                    ));
+                }
+            }
+            for entry in view.csq().iter() {
+                if !view.mask().is_masked(entry.src) {
+                    out.push(view.violation(
+                        InvariantKind::CsqSourceUnmasked,
+                        self.name(),
+                        format!(
+                            "CSQ entry @{:#x} source {} is unmasked",
+                            entry.addr, entry.src
+                        ),
+                    ));
+                }
+                if !view.prf().is_allocated(entry.src) {
+                    out.push(view.violation(
+                        InvariantKind::CsqSourceFreed,
+                        self.name(),
+                        format!("CSQ entry @{:#x} source {} is freed", entry.addr, entry.src),
+                    ));
+                }
+            }
+            for &reg in view.deferred_frees() {
+                if !view.mask().is_masked(reg) {
+                    out.push(view.violation(
+                        InvariantKind::DeferredFreeUnmasked,
+                        self.name(),
+                        format!("deferred free {reg} is not masked"),
+                    ));
+                }
+            }
+        }
+    }
+
+    #[derive(Debug)]
+    pub struct PrfLeakCheck;
+
+    impl Validator for PrfLeakCheck {
+        fn name(&self) -> &'static str {
+            "prf-leak"
+        }
+
+        fn check(&mut self, view: &CoreView<'_>, out: &mut Vec<Violation>) {
+            let mut reachable: HashSet<PhysReg> = HashSet::new();
+            reachable.extend(view.rat().iter().map(|(_, p)| p));
+            reachable.extend(view.crt().iter().map(|(_, p)| p));
+            reachable.extend(view.mask().masked_regs());
+            reachable.extend(view.deferred_frees().iter().copied());
+            for slot in view.rob() {
+                reachable.extend(slot.dst);
+                reachable.extend(slot.prev);
+                reachable.extend(slot.store_data);
+                reachable.extend(slot.srcs.iter().flatten());
+            }
+            for class in [RegClass::Int, RegClass::Fp] {
+                for reg in view.prf().regs(class) {
+                    if view.prf().is_allocated(reg) && !reachable.contains(&reg) {
+                        out.push(view.violation(
+                            InvariantKind::PrfLeak,
+                            self.name(),
+                            format!("{reg} is allocated but unreachable"),
+                        ));
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -800,6 +1117,8 @@ mod tests {
     use crate::pipeline::Core;
     use ppa_isa::{ArchReg, TraceBuilder};
     use ppa_mem::{MemConfig, MemorySystem};
+    use ppa_prng::Prng;
+    use std::collections::HashSet;
 
     fn run_clean_core() -> (Core, MemorySystem) {
         let mut b = TraceBuilder::new("t");
@@ -843,7 +1162,225 @@ mod tests {
 
     #[test]
     fn kinds_have_unique_names() {
-        let kinds = [
+        let names: HashSet<&str> = InvariantKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), InvariantKind::ALL.len());
+    }
+
+    /// `ALL` lists every variant once, in declaration order: the
+    /// discriminants run 0, 1, 2, … up to the last variant's.
+    #[test]
+    fn all_kinds_are_listed_in_declaration_order() {
+        for (i, kind) in InvariantKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{kind} is out of place");
+        }
+        assert_eq!(
+            InvariantKind::ALL.len(),
+            InvariantKind::ArbiterUnfair as usize + 1
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lies outside the PRF")]
+    fn reg_set_rejects_registers_outside_the_prf() {
+        let mut set = RegSet::default();
+        set.reset(&Prf::new(4, 4));
+        set.insert(PhysReg::new(RegClass::Fp, 4));
+    }
+
+    /// A bitset check and its `HashSet` reference run on the same view;
+    /// the violations they report must be equal element for element.
+    #[derive(Debug)]
+    struct Paired<N, R> {
+        new: N,
+        reference: R,
+    }
+
+    impl<N: Validator, R: Validator> Validator for Paired<N, R> {
+        fn name(&self) -> &'static str {
+            self.new.name()
+        }
+
+        fn check(&mut self, view: &CoreView<'_>, out: &mut Vec<Violation>) {
+            let start = out.len();
+            self.new.check(view, out);
+            let mut expected = Vec::new();
+            self.reference.check(view, &mut expected);
+            assert_eq!(
+                out[start..],
+                expected[..],
+                "{} disagrees with its reference at cycle {}",
+                self.name(),
+                view.cycle
+            );
+        }
+    }
+
+    fn paired_checks() -> Vec<Box<dyn Validator>> {
+        vec![
+            Box::new(Paired {
+                new: FreeListCheck::default(),
+                reference: reference::FreeListCheck,
+            }),
+            Box::new(Paired {
+                new: RenameCheck::default(),
+                reference: reference::RenameCheck,
+            }),
+            Box::new(Paired {
+                new: MaskRegCheck::default(),
+                reference: reference::MaskRegCheck,
+            }),
+            Box::new(Paired {
+                new: PrfLeakCheck::default(),
+                reference: reference::PrfLeakCheck,
+            }),
+        ]
+    }
+
+    /// An arbitrary, mostly inconsistent core state. Both banks get
+    /// random sizes, so they straddle 64-bit word boundaries at varying
+    /// offsets. Half the register picks come from a few hot registers,
+    /// so collisions are common: duplicate mappings, masked
+    /// destinations, sources that are free.
+    struct RandomState {
+        cfg: CoreConfig,
+        prf: Prf,
+        rat: RenameTable,
+        crt: RenameTable,
+        mask: MaskReg,
+        csq: Csq,
+        deferred: Vec<PhysReg>,
+        rob: Vec<RobSlot>,
+    }
+
+    impl RandomState {
+        fn new(rng: &mut Prng) -> Self {
+            let sizes = [rng.random_range(1..200usize), rng.random_range(1..200usize)];
+            let any = |rng: &mut Prng| {
+                let bank = rng.random_below(2) as usize;
+                let class = [RegClass::Int, RegClass::Fp][bank];
+                PhysReg::new(class, rng.random_below(sizes[bank] as u64) as u16)
+            };
+            let hot: Vec<PhysReg> = (0..4).map(|_| any(rng)).collect();
+            let pick = |rng: &mut Prng| {
+                if rng.random_bool(0.5) {
+                    *rng.choose(&hot).expect("hot registers")
+                } else {
+                    any(rng)
+                }
+            };
+            let mode = if rng.random_bool(0.9) {
+                PersistenceMode::Ppa
+            } else {
+                PersistenceMode::Baseline
+            };
+
+            let mut prf = Prf::new(sizes[0], sizes[1]);
+            let p_alloc = rng.random_f64();
+            for class in [RegClass::Int, RegClass::Fp] {
+                let regs: Vec<PhysReg> = prf.regs(class).collect();
+                for reg in regs {
+                    if rng.random_bool(p_alloc) {
+                        prf.allocate_specific(reg);
+                    }
+                }
+            }
+            for _ in 0..rng.random_below(4) {
+                prf.push_free_unchecked(pick(rng));
+            }
+
+            let p_map = rng.random_f64();
+            let mut rat = RenameTable::new();
+            let mut crt = RenameTable::new();
+            for arch in ArchReg::all() {
+                if rng.random_bool(p_map) {
+                    rat.set(arch, pick(rng));
+                }
+                if rng.random_bool(p_map) {
+                    crt.set(arch, pick(rng));
+                }
+            }
+
+            let mut mask = MaskReg::new(sizes[0], sizes[1]);
+            for _ in 0..rng.random_below(6) {
+                mask.mask(pick(rng));
+            }
+            let mut csq = Csq::new(rng.random_range(1..8usize));
+            for _ in 0..rng.random_below(8) {
+                let entry = CsqEntry {
+                    src: pick(rng),
+                    addr: rng.random_below(64) * 8,
+                    size: *rng.choose(&[1, 2, 3, 4, 8]).expect("sizes"),
+                };
+                let _ = csq.push(entry);
+            }
+            let deferred = (0..rng.random_below(4)).map(|_| pick(rng)).collect();
+            let maybe = |rng: &mut Prng, p: f64| rng.random_bool(p).then(|| pick(rng));
+            let rob = (0..rng.random_below(12))
+                .map(|i| RobSlot {
+                    seq: 100 + i,
+                    kind: *rng
+                        .choose(&[UopKind::IntAlu, UopKind::Load, UopKind::Store])
+                        .expect("kinds"),
+                    dst: maybe(rng, 0.6),
+                    prev: maybe(rng, 0.5),
+                    srcs: [maybe(rng, 0.5), maybe(rng, 0.3), maybe(rng, 0.1)],
+                    store_data: maybe(rng, 0.3),
+                    issued: rng.random_bool(0.5),
+                })
+                .collect();
+            RandomState {
+                cfg: CoreConfig::paper_default(mode),
+                prf,
+                rat,
+                crt,
+                mask,
+                csq,
+                deferred,
+                rob,
+            }
+        }
+
+        fn view(&self, cycle: u64) -> CoreView<'_> {
+            CoreView {
+                cycle,
+                cfg: &self.cfg,
+                id: 0,
+                prf: &self.prf,
+                rat: &self.rat,
+                crt: &self.crt,
+                mask: &self.mask,
+                csq: &self.csq,
+                deferred: &self.deferred,
+                rob: self.rob.clone(),
+                iq: &[],
+                lq_pending: 0,
+                sq_pending: 0,
+                region_stores: 0,
+                regions_completed: 0,
+            }
+        }
+    }
+
+    /// Seeded loop over corrupted views: the bitset checks report what
+    /// the `HashSet` reference reports, and between them the views
+    /// trigger every kind the four checks can report. The same check
+    /// instances serve every view, so each reset resizes a set that was
+    /// last sized to a different PRF.
+    #[test]
+    fn bitset_checks_match_the_hashset_reference_on_corrupted_views() {
+        let mut rng = Prng::seed_from_u64(0x5eed_b175);
+        let mut checks = paired_checks();
+        let mut fired = HashSet::new();
+        for cycle in 0..1500 {
+            let state = RandomState::new(&mut rng);
+            let view = state.view(cycle);
+            let mut out = Vec::new();
+            for check in &mut checks {
+                check.check(&view, &mut out);
+            }
+            fired.extend(out.iter().map(|v| v.kind));
+        }
+        let reportable = [
             InvariantKind::FreeListDuplicate,
             InvariantKind::FreeListAllocatedOverlap,
             InvariantKind::RatDanglingMapping,
@@ -857,23 +1394,81 @@ mod tests {
             InvariantKind::CsqSourceFreed,
             InvariantKind::DeferredFreeUnmasked,
             InvariantKind::PpaStateOutsidePpaMode,
-            InvariantKind::CsqOverCapacity,
-            InvariantKind::CsqEntryInvalidSize,
-            InvariantKind::CsqReordered,
-            InvariantKind::CsqShrankWithinRegion,
-            InvariantKind::CsqStoreCountMismatch,
-            InvariantKind::RobSequenceGap,
-            InvariantKind::IssueQueueOrphan,
-            InvariantKind::LoadQueueCountMismatch,
-            InvariantKind::StoreQueueCountMismatch,
             InvariantKind::PrfLeak,
-            InvariantKind::AttachedMidRegion,
-            InvariantKind::CrossCoreDrainOrder,
-            InvariantKind::PersistBeforeDependence,
-            InvariantKind::RecoveryImageOverlap,
         ];
-        let names: HashSet<&str> = kinds.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), kinds.len());
+        for kind in reportable {
+            assert!(fired.contains(&kind), "no view triggered {kind}");
+        }
+    }
+
+    /// The register-recycling store workload of `ppa-verify`'s mutation
+    /// self-tests: every iteration redefines a register that supplied an
+    /// earlier store.
+    #[cfg(feature = "verify")]
+    fn recycling_trace() -> ppa_isa::Trace {
+        let mut b = TraceBuilder::new("recycling");
+        for i in 0..400u64 {
+            let r = ArchReg::int((i % 6) as u8);
+            b.alu(r, &[r]);
+            b.store(r, 0x1000 + (i % 48) * 8, i + 1);
+            b.alu(r, &[r]);
+        }
+        b.build()
+    }
+
+    /// Steps a core with the paired checks attached (each asserts its
+    /// agreement every cycle) and returns what they reported.
+    #[cfg(feature = "verify")]
+    fn run_paired(
+        cfg: CoreConfig,
+        trace: &ppa_isa::Trace,
+        fault: Option<FaultKind>,
+    ) -> Vec<Violation> {
+        let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
+        let mut core = Core::new(cfg, 0);
+        for check in paired_checks() {
+            core.attach_validator(check);
+        }
+        if let Some(fault) = fault {
+            core.inject_fault(fault);
+        }
+        for now in 0..20_000 {
+            core.step(trace, &mut mem, now);
+            mem.tick(now);
+            if core.is_finished() {
+                break;
+            }
+        }
+        core.take_violations()
+    }
+
+    /// Clean runs in every persistence mode the checks treat differently
+    /// report nothing, from either implementation.
+    #[cfg(feature = "verify")]
+    #[test]
+    fn bitset_checks_match_the_hashset_reference_on_clean_runs() {
+        let trace = recycling_trace();
+        for mode in [PersistenceMode::Ppa, PersistenceMode::Baseline] {
+            for cfg in [
+                CoreConfig::paper_default(mode),
+                CoreConfig::paper_default(mode).with_prf(56, 56),
+            ] {
+                assert_eq!(run_paired(cfg, &trace, None), vec![], "{mode:?}");
+            }
+        }
+    }
+
+    /// Every injectable fault — the cases of `ppa-verify`'s mutation
+    /// self-tests — is reported identically by both implementations.
+    #[cfg(feature = "verify")]
+    #[test]
+    fn bitset_checks_match_the_hashset_reference_under_injected_faults() {
+        let trace = recycling_trace();
+        let cfg = CoreConfig::paper_default(PersistenceMode::Ppa).with_prf(56, 56);
+        for fault in FaultKind::ALL {
+            let violations = run_paired(cfg, &trace, Some(fault));
+            assert!(!violations.is_empty(), "{fault:?} went unreported");
+        }
     }
 
     #[test]

@@ -146,6 +146,15 @@ mod tests {
     }
 
     #[test]
+    fn the_suite_covers_every_injectable_fault() {
+        let faults: Vec<FaultKind> = cases().iter().map(|c| c.fault).collect();
+        assert_eq!(faults.len(), FaultKind::ALL.len());
+        for fault in FaultKind::ALL {
+            assert!(faults.contains(&fault), "{fault:?} has no case");
+        }
+    }
+
+    #[test]
     fn clean_run_of_the_same_workload_reports_nothing() {
         let trace = mutation_trace();
         let cfg = CoreConfig::paper_default(PersistenceMode::Ppa).with_prf(56, 56);
