@@ -133,6 +133,13 @@ time cargo run -q -p ppa-verify --release -- oracle --len 800 --grid loopback:2 
     > /tmp/ppa_ci_oracle_grid.txt 2> /dev/null
 diff /tmp/ppa_ci_oracle_local.txt /tmp/ppa_ci_oracle_grid.txt
 
+# Same run with a worker killed mid-lease: ppa-verify's loopback grid
+# honours PPA_GRID_DIE_AFTER like every other harness.
+echo "== ppa-verify oracle loopback grid smoke with injected worker death"
+PPA_GRID_DIE_AFTER=3 cargo run -q -p ppa-verify --release -- oracle --len 800 \
+    --grid loopback:3 > /tmp/ppa_ci_oracle_die.txt 2> /dev/null
+diff /tmp/ppa_ci_oracle_local.txt /tmp/ppa_ci_oracle_die.txt
+
 # Full-stack self-test: benchmark + oracle units over loopback TCP with
 # an injected mid-lease worker death.
 echo "== ppa-grid selftest (3 workers, one dies mid-lease)"
@@ -358,6 +365,17 @@ DSE_HITS=$(./target/release/ppa-serve stats --connect "$DSE_ADDR" 2> /dev/null \
     | sed -n 's/.*hits=\([0-9]*\).*/\1/p')
 [ "${DSE_HITS:-0}" -gt 0 ] || { echo "ci: dse re-sweep hit the cache 0 times"; exit 1; }
 echo "dse serve ok: cache hits=$DSE_HITS"
+
+# The same daemon and worker serve repro and ppa-litmus: each client's
+# stdout must match its local run byte for byte. This is the path for
+# rendering experiments on external workers.
+echo "== repro + ppa-litmus serve gate (shared daemon)"
+PPA_JOBS=0 PPA_REPRO_LEN=1200 ./target/release/repro --grid "serve:$DSE_ADDR" \
+    fig11 table4 ckpt autopersist > /tmp/ppa_ci_repro_serve.txt 2> /dev/null
+diff /tmp/ppa_ci_local.txt /tmp/ppa_ci_repro_serve.txt
+./target/release/ppa-litmus run --tests 256 --seed 1 --grid "serve:$DSE_ADDR" \
+    > /tmp/ppa_ci_litmus_serve.txt 2> /dev/null
+diff /tmp/ppa_ci_litmus_local.txt /tmp/ppa_ci_litmus_serve.txt
 
 # The live progress UI: stats must now report the eviction counter, and
 # `watch` must render its frames entirely on stderr (stdout byte-empty).

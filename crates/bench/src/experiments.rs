@@ -10,7 +10,7 @@
 //! order-preserving map whose results are folded into the table
 //! serially, so the rendered output is byte-identical at any job count.
 
-use crate::{experiment_len, SEED};
+use crate::SEED;
 use ppa_core::{CoreConfig, PersistenceMode};
 use ppa_isa::transform::{region_lengths, AutoPersistPass, CapriPass, ReplayCachePass, TracePass};
 use ppa_mem::NvmConfig;
@@ -30,18 +30,8 @@ pub fn len_for_base(app: &AppDescriptor, base: usize) -> usize {
     }
 }
 
-fn len_for(app: &AppDescriptor) -> usize {
-    len_for_base(app, experiment_len())
-}
-
-fn run(cfg: SystemConfig, app: &AppDescriptor) -> SimReport {
-    Machine::new(cfg).run_app_parallel(app, len_for(app), SEED)
-}
-
-/// Like [`run`] but with an explicit base length, so grid workers
-/// reproduce the coordinator's sizing without consulting their own
-/// environment.
-fn run_at(cfg: SystemConfig, app: &AppDescriptor, base: usize) -> SimReport {
+/// Runs `app` on `cfg` at single-threaded base length `base`.
+fn run(cfg: SystemConfig, app: &AppDescriptor, base: usize) -> SimReport {
     Machine::new(cfg).run_app_parallel(app, len_for_base(app, base), SEED)
 }
 
@@ -70,15 +60,15 @@ fn push_gmean(table: &mut TextTable, label: &str, cols: &[&[f64]]) {
 
 /// Figure 1: ReplayCache's slowdown over the memory-mode baseline.
 pub(crate) fn fig1_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64> {
-    let base = run_at(SystemConfig::baseline(), app, base_len);
-    let rc = run_at(SystemConfig::replay_cache(), app, base_len);
+    let base = run(SystemConfig::baseline(), app, base_len);
+    let rc = run(SystemConfig::replay_cache(), app, base_len);
     vec![rc.cycles as f64 / base.cycles as f64]
 }
 
-pub fn fig1() -> TextTable {
+pub fn fig1(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "suite", "replaycache-slowdown"]);
     let mut slows = Vec::new();
-    for (app, v) in crate::gridwork::app_rows("fig1", registry::all(), fig1_cell) {
+    for (app, v) in crate::gridwork::app_rows("fig1", registry::all(), fig1_cell, len) {
         let s = v[0];
         slows.push(s);
         t.row([app.name.to_string(), app.suite.to_string(), fmt_slowdown(s)]);
@@ -90,7 +80,7 @@ pub fn fig1() -> TextTable {
 
 /// Figure 5: CDFs of free integer/FP physical registers, sampled every
 /// cycle at the rename stage of the baseline core, per suite.
-pub fn fig5() -> TextTable {
+pub fn fig5(len: usize) -> TextTable {
     let cfg = CoreConfig::paper_default(PersistenceMode::Baseline);
     let mut t = TextTable::new([
         "suite",
@@ -105,7 +95,7 @@ pub fn fig5() -> TextTable {
         let mut int_cdf = Cdf::with_max_value(cfg.int_prf as u64);
         let mut fp_cdf = Cdf::with_max_value(cfg.fp_prf as u64);
         for (_, r) in par_apps(registry::by_suite(suite), |app| {
-            run(SystemConfig::baseline(), app)
+            run(SystemConfig::baseline(), app, len)
         }) {
             for c in &r.core_stats {
                 int_cdf.merge(&c.free_int_cdf);
@@ -136,20 +126,20 @@ pub fn fig5() -> TextTable {
 
 /// Figure 8: PPA and Capri slowdowns over the baseline, all 41 apps.
 pub(crate) fn fig8_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64> {
-    let base = run_at(SystemConfig::baseline(), app, base_len);
-    let ppa = run_at(SystemConfig::ppa(), app, base_len);
-    let cap = run_at(SystemConfig::capri(), app, base_len);
+    let base = run(SystemConfig::baseline(), app, base_len);
+    let ppa = run(SystemConfig::ppa(), app, base_len);
+    let cap = run(SystemConfig::capri(), app, base_len);
     vec![
         ppa.cycles as f64 / base.cycles as f64,
         cap.cycles as f64 / base.cycles as f64,
     ]
 }
 
-pub fn fig8() -> TextTable {
+pub fn fig8(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "suite", "ppa", "capri"]);
     let mut ppa_s = Vec::new();
     let mut cap_s = Vec::new();
-    for (app, v) in crate::gridwork::app_rows("fig8", registry::all(), fig8_cell) {
+    for (app, v) in crate::gridwork::app_rows("fig8", registry::all(), fig8_cell, len) {
         let (sp, sc) = (v[0], v[1]);
         ppa_s.push(sp);
         cap_s.push(sc);
@@ -167,20 +157,20 @@ pub fn fig8() -> TextTable {
 
 /// Figure 9: PPA and the memory mode vs the 32 GB DRAM-only system.
 pub(crate) fn fig9_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64> {
-    let dram = run_at(SystemConfig::dram_only(), app, base_len);
-    let base = run_at(SystemConfig::baseline(), app, base_len);
-    let ppa = run_at(SystemConfig::ppa(), app, base_len);
+    let dram = run(SystemConfig::dram_only(), app, base_len);
+    let base = run(SystemConfig::baseline(), app, base_len);
+    let ppa = run(SystemConfig::ppa(), app, base_len);
     vec![
         base.cycles as f64 / dram.cycles as f64,
         ppa.cycles as f64 / dram.cycles as f64,
     ]
 }
 
-pub fn fig9() -> TextTable {
+pub fn fig9(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "memory-mode/dram", "ppa/dram"]);
     let mut base_s = Vec::new();
     let mut ppa_s = Vec::new();
-    for (app, v) in crate::gridwork::app_rows("fig9", registry::all(), fig9_cell) {
+    for (app, v) in crate::gridwork::app_rows("fig9", registry::all(), fig9_cell, len) {
         let (sb, sp) = (v[0], v[1]);
         base_s.push(sb);
         ppa_s.push(sp);
@@ -194,20 +184,22 @@ pub fn fig9() -> TextTable {
 /// Figure 10: PPA vs the ideal PSP (eADR/BBB) on the memory-intensive
 /// subset.
 pub(crate) fn fig10_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64> {
-    let base = run_at(SystemConfig::baseline(), app, base_len);
-    let ppa = run_at(SystemConfig::ppa(), app, base_len);
-    let psp = run_at(SystemConfig::eadr_bbb(), app, base_len);
+    let base = run(SystemConfig::baseline(), app, base_len);
+    let ppa = run(SystemConfig::ppa(), app, base_len);
+    let psp = run(SystemConfig::eadr_bbb(), app, base_len);
     vec![
         ppa.cycles as f64 / base.cycles as f64,
         psp.cycles as f64 / base.cycles as f64,
     ]
 }
 
-pub fn fig10() -> TextTable {
+pub fn fig10(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "ppa", "eadr/bbb"]);
     let mut ppa_s = Vec::new();
     let mut psp_s = Vec::new();
-    for (app, v) in crate::gridwork::app_rows("fig10", registry::memory_intensive(), fig10_cell) {
+    for (app, v) in
+        crate::gridwork::app_rows("fig10", registry::memory_intensive(), fig10_cell, len)
+    {
         let (sp, se) = (v[0], v[1]);
         ppa_s.push(sp);
         psp_s.push(se);
@@ -220,13 +212,13 @@ pub fn fig10() -> TextTable {
 
 /// Figure 11: stall cycles at region ends as a fraction of execution.
 pub(crate) fn fig11_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64> {
-    vec![run_at(SystemConfig::ppa(), app, base_len).region_end_stall_fraction()]
+    vec![run(SystemConfig::ppa(), app, base_len).region_end_stall_fraction()]
 }
 
-pub fn fig11() -> TextTable {
+pub fn fig11(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "region-end stall"]);
     let mut fracs = Vec::new();
-    for (app, v) in crate::gridwork::app_rows("fig11", registry::all(), fig11_cell) {
+    for (app, v) in crate::gridwork::app_rows("fig11", registry::all(), fig11_cell, len) {
         let f = v[0];
         fracs.push(f);
         t.row([app.name.to_string(), fmt_percent(f)]);
@@ -242,18 +234,18 @@ pub fn fig11() -> TextTable {
 
 /// Figure 12: extra rename-stage stall cycles from PRF exhaustion.
 pub(crate) fn fig12_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64> {
-    let base = run_at(SystemConfig::baseline(), app, base_len);
-    let ppa = run_at(SystemConfig::ppa(), app, base_len);
+    let base = run(SystemConfig::baseline(), app, base_len);
+    let ppa = run(SystemConfig::ppa(), app, base_len);
     vec![
         base.rename_noreg_stall_fraction(),
         ppa.rename_noreg_stall_fraction(),
     ]
 }
 
-pub fn fig12() -> TextTable {
+pub fn fig12(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "baseline", "ppa", "increase"]);
     let mut deltas = Vec::new();
-    for (app, v) in crate::gridwork::app_rows("fig12", registry::all(), fig12_cell) {
+    for (app, v) in crate::gridwork::app_rows("fig12", registry::all(), fig12_cell, len) {
         let (fb, fp) = (v[0], v[1]);
         deltas.push((fp - fb).max(0.0));
         t.row([
@@ -282,7 +274,7 @@ pub fn fig12() -> TextTable {
 /// Figure 13: stores and other instructions per dynamically formed
 /// region, plus Capri's compiler-formed region length for contrast.
 pub(crate) fn fig13_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64> {
-    let ppa = run_at(SystemConfig::ppa(), app, base_len);
+    let ppa = run(SystemConfig::ppa(), app, base_len);
     let st = ppa.region_stores().mean();
     let all = ppa.region_insts().mean();
     let raw = app.generate(len_for_base(app, base_len).min(20_000), SEED);
@@ -292,12 +284,12 @@ pub(crate) fn fig13_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64> {
     vec![st, all, cap]
 }
 
-pub fn fig13() -> TextTable {
+pub fn fig13(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "stores/region", "others/region", "capri region"]);
     let mut stores = Vec::new();
     let mut others = Vec::new();
     let mut capri = Vec::new();
-    for (app, v) in crate::gridwork::app_rows("fig13", registry::all(), fig13_cell) {
+    for (app, v) in crate::gridwork::app_rows("fig13", registry::all(), fig13_cell, len) {
         let (st, all, cap) = (v[0], v[1], v[2]);
         stores.push(st);
         others.push(all - st);
@@ -327,19 +319,19 @@ pub fn fig13() -> TextTable {
 
 /// Figure 14: PPA's slowdown when an L3 sits atop the DRAM cache.
 pub(crate) fn fig14_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64> {
-    let base = run_at(
+    let base = run(
         SystemConfig::baseline().with_deep_hierarchy(),
         app,
         base_len,
     );
-    let ppa = run_at(SystemConfig::ppa().with_deep_hierarchy(), app, base_len);
+    let ppa = run(SystemConfig::ppa().with_deep_hierarchy(), app, base_len);
     vec![ppa.cycles as f64 / base.cycles as f64]
 }
 
-pub fn fig14() -> TextTable {
+pub fn fig14(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "ppa (deep hierarchy)"]);
     let mut slows = Vec::new();
-    for (app, v) in crate::gridwork::app_rows("fig14", registry::all(), fig14_cell) {
+    for (app, v) in crate::gridwork::app_rows("fig14", registry::all(), fig14_cell, len) {
         let s = v[0];
         slows.push(s);
         t.row([app.name.to_string(), fmt_slowdown(s)]);
@@ -359,17 +351,18 @@ pub(crate) fn fig15_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64> {
             base_cfg.mem = base_cfg.mem.with_nvm(nvm);
             let mut ppa_cfg = SystemConfig::ppa();
             ppa_cfg.mem = ppa_cfg.mem.with_nvm(nvm);
-            let base = run_at(base_cfg, app, base_len);
-            let ppa = run_at(ppa_cfg, app, base_len);
+            let base = run(base_cfg, app, base_len);
+            let ppa = run(ppa_cfg, app, base_len);
             ppa.cycles as f64 / base.cycles as f64
         })
         .collect()
 }
 
-pub fn fig15() -> TextTable {
+pub fn fig15(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "wpq-8", "wpq-16 (default)", "wpq-24"]);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for (app, slows) in crate::gridwork::app_rows("fig15", registry::memory_intensive(), fig15_cell)
+    for (app, slows) in
+        crate::gridwork::app_rows("fig15", registry::memory_intensive(), fig15_cell, len)
     {
         let mut row = vec![app.name.to_string()];
         for (i, s) in slows.into_iter().enumerate() {
@@ -385,7 +378,7 @@ pub fn fig15() -> TextTable {
 }
 
 /// Figure 16: sensitivity to the physical-register-file size.
-pub fn fig16() -> TextTable {
+pub fn fig16(len: usize) -> TextTable {
     let sizes: [(usize, usize, &str); 6] = [
         (80, 80, "80/80"),
         (100, 100, "100/100"),
@@ -403,8 +396,8 @@ pub fn fig16() -> TextTable {
             base_cfg.core = base_cfg.core.with_prf(int_prf, fp_prf);
             let mut ppa_cfg = SystemConfig::ppa();
             ppa_cfg.core = ppa_cfg.core.with_prf(int_prf, fp_prf);
-            let base = run(base_cfg, app);
-            let ppa = run(ppa_cfg, app);
+            let base = run(base_cfg, app, len);
+            let ppa = run(ppa_cfg, app, len);
             ppa.cycles as f64 / base.cycles as f64
         }) {
             if s > worst.1 {
@@ -429,7 +422,7 @@ pub fn fig16() -> TextTable {
 }
 
 /// Figure 17: sensitivity to the CSQ depth.
-pub fn fig17() -> TextTable {
+pub fn fig17(len: usize) -> TextTable {
     let sizes = [10usize, 20, 30, 40, 50];
     let mut t = TextTable::new([
         "csq entries",
@@ -443,8 +436,8 @@ pub fn fig17() -> TextTable {
         for (_, (s, b, u)) in par_apps(registry::all(), |app| {
             let mut ppa_cfg = SystemConfig::ppa();
             ppa_cfg.core = ppa_cfg.core.with_csq(n);
-            let base = run(SystemConfig::baseline(), app);
-            let ppa = run(ppa_cfg, app);
+            let base = run(SystemConfig::baseline(), app, len);
+            let ppa = run(ppa_cfg, app, len);
             let b = ppa
                 .core_stats
                 .iter()
@@ -480,17 +473,18 @@ pub(crate) fn fig18_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64> {
             base_cfg.mem = base_cfg.mem.with_nvm(nvm);
             let mut ppa_cfg = SystemConfig::ppa();
             ppa_cfg.mem = ppa_cfg.mem.with_nvm(nvm);
-            let base = run_at(base_cfg, app, base_len);
-            let ppa = run_at(ppa_cfg, app, base_len);
+            let base = run(base_cfg, app, base_len);
+            let ppa = run(ppa_cfg, app, base_len);
             ppa.cycles as f64 / base.cycles as f64
         })
         .collect()
 }
 
-pub fn fig18() -> TextTable {
+pub fn fig18(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "1GB/s", "2.3GB/s (default)", "4GB/s", "6GB/s"]);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    for (app, slows) in crate::gridwork::app_rows("fig18", registry::memory_intensive(), fig18_cell)
+    for (app, slows) in
+        crate::gridwork::app_rows("fig18", registry::memory_intensive(), fig18_cell, len)
     {
         let mut row = vec![app.name.to_string()];
         for (i, s) in slows.into_iter().enumerate() {
@@ -511,15 +505,15 @@ pub fn fig18() -> TextTable {
 /// barrier phases, halo exchange — so the sweep exercises the §6 persist
 /// arbiter (sync-region drains certified round-robin across cores) rather
 /// than N independent pipelines.
-pub fn fig19() -> TextTable {
+pub fn fig19(len: usize) -> TextTable {
     use ppa_smp::SmpSystem;
     let counts = [8usize, 16, 32, 64];
     let mut t = TextTable::new(["threads", "ppa slowdown (gmean)", "drain grants"]);
     for &n in &counts {
-        let len = (experiment_len() / (n / 2).max(1)).max(1_000);
+        let per_thread = (len / (n / 2).max(1)).max(1_000);
         let results: Vec<(f64, usize)> =
             ppa_pool::par_map_ordered(ppa_workloads::shared::all(), move |app| {
-                let traces = app.generate_threads(len, SEED, n);
+                let traces = app.generate_threads(per_thread, SEED, n);
                 let base =
                     SmpSystem::new(SystemConfig::baseline().with_threads(n), traces.clone()).run();
                 let ppa = SmpSystem::new(SystemConfig::ppa().with_threads(n), traces).run();
@@ -542,7 +536,7 @@ pub fn fig19() -> TextTable {
 }
 
 /// Table 1: PPA vs `clwb` properties.
-pub fn table1() -> TextTable {
+pub fn table1(_len: usize) -> TextTable {
     let mut t = TextTable::new([
         "",
         "store queue occupied",
@@ -556,7 +550,7 @@ pub fn table1() -> TextTable {
 }
 
 /// Table 2: the simulated machine's parameters.
-pub fn table2() -> TextTable {
+pub fn table2(_len: usize) -> TextTable {
     let cfg = SystemConfig::ppa();
     let nvm = *cfg.mem.nvm().expect("default config is NVM-backed");
     let mut t = TextTable::new(["component", "configuration"]);
@@ -626,7 +620,7 @@ pub fn table2() -> TextTable {
 }
 
 /// Table 3: the Mini-app and WHISPER workload descriptions.
-pub fn table3() -> TextTable {
+pub fn table3(_len: usize) -> TextTable {
     let mut t = TextTable::new(["application", "description", "input", "footprint"]);
     for app in registry::by_suite(Suite::MiniApps)
         .into_iter()
@@ -643,7 +637,7 @@ pub fn table3() -> TextTable {
 }
 
 /// Table 4: hardware overheads of PPA's structures (CACTI at 22 nm).
-pub fn table4() -> TextTable {
+pub fn table4(_len: usize) -> TextTable {
     let mut t = TextTable::new(["structure", "area (um^2)", "latency (ns)", "dynamic (pJ)"]);
     for e in [
         ppa_energy::LCPC,
@@ -672,7 +666,7 @@ pub fn table4() -> TextTable {
 }
 
 /// Table 5: JIT-flush energy requirement across schemes.
-pub fn table5() -> TextTable {
+pub fn table5(_len: usize) -> TextTable {
     let mut t = TextTable::new([
         "scheme",
         "flush bytes",
@@ -708,7 +702,7 @@ pub fn table5() -> TextTable {
 }
 
 /// Table 6: qualitative comparison of WSP schemes.
-pub fn table6() -> TextTable {
+pub fn table6(_len: usize) -> TextTable {
     let yes_no = |b: bool| if b { "yes" } else { "no" };
     let mut t = TextTable::new([
         "scheme",
@@ -735,7 +729,7 @@ pub fn table6() -> TextTable {
 
 /// §7.13: checkpoint energy/latency arithmetic plus a live measured
 /// failure injection.
-pub fn ckpt() -> TextTable {
+pub fn ckpt(_len: usize) -> TextTable {
     let b = ppa_energy::CheckpointBudget::worst_case();
     let mut t = TextTable::new(["quantity", "value", "paper"]);
     t.row([
@@ -802,7 +796,7 @@ pub fn ckpt() -> TextTable {
 /// 1-entry write buffer approximates synchronous write-back), and
 /// dynamic region formation (vs Capri-length and paper-length static
 /// regions).
-pub fn ablation() -> TextTable {
+pub fn ablation(len: usize) -> TextTable {
     let apps: Vec<AppDescriptor> = [
         "gcc",
         "hmmer",
@@ -845,8 +839,8 @@ pub fn ablation() -> TextTable {
     let mut t = TextTable::new(["variant", "slowdown vs baseline (gmean)"]);
     for (label, cfg) in variants {
         let slows: Vec<f64> = par_apps(apps.clone(), move |app| {
-            let base = run(SystemConfig::baseline(), app);
-            let v = run(cfg, app);
+            let base = run(SystemConfig::baseline(), app, len);
+            let v = run(cfg, app, len);
             v.cycles as f64 / base.cycles as f64
         })
         .into_iter()
@@ -860,19 +854,19 @@ pub fn ablation() -> TextTable {
 /// §6 multi-MC support: PPA behind one vs two interleaved memory
 /// controllers, with recovery verified under the two-controller ordering
 /// hazard.
-pub fn mc() -> TextTable {
+pub fn mc(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "ppa 1 MC", "ppa 2 MCs", "recovery @2MC"]);
     let names = vec!["gcc", "rb", "sps", "tpcc", "water-ns"];
     for row in ppa_pool::par_map_ordered(names, |name| {
         let app = registry::by_name(name).expect("known app");
-        let base1 = run(SystemConfig::baseline(), &app);
-        let ppa1 = run(SystemConfig::ppa(), &app);
+        let base1 = run(SystemConfig::baseline(), &app, len);
+        let ppa1 = run(SystemConfig::ppa(), &app, len);
         let mut base_cfg2 = SystemConfig::baseline();
         base_cfg2.mem = base_cfg2.mem.with_memory_controllers(2);
         let mut cfg2 = SystemConfig::ppa();
         cfg2.mem = cfg2.mem.with_memory_controllers(2);
-        let base2 = run(base_cfg2, &app);
-        let ppa2 = run(cfg2, &app);
+        let base2 = run(base_cfg2, &app, len);
+        let ppa2 = run(cfg2, &app, len);
         // Verify §4.6 recovery under cross-channel persistence reordering.
         let trace = app.generate(4_000, SEED);
         let out = inject_failure(&cfg2, &trace, 1_500);
@@ -896,7 +890,7 @@ pub fn mc() -> TextTable {
 
 /// §6's in-order-core extension: the value-carrying CSQ variant against
 /// the out-of-order PPA core.
-pub fn inorder() -> TextTable {
+pub fn inorder(_len: usize) -> TextTable {
     use ppa_core::InOrderCore;
     use ppa_mem::MemorySystem;
     let mut t = TextTable::new([
@@ -930,7 +924,7 @@ pub fn inorder() -> TextTable {
 
 /// §5's OS-interaction claim: context switching costs PPA essentially
 /// nothing, and recovery works when power fails inside kernel code.
-pub fn os() -> TextTable {
+pub fn os(len: usize) -> TextTable {
     let mut t = TextTable::new([
         "app",
         "ppa (no kernel)",
@@ -943,10 +937,10 @@ pub fn os() -> TextTable {
         // 10k uops between kernel entries corresponds to the multi-µs
         // context-switch spacing §5 quotes (5-20 µs at ~2 GHz).
         let ctx = app.with_context_switches(10_000);
-        let base = run(SystemConfig::baseline(), &app);
-        let ppa = run(SystemConfig::ppa(), &app);
-        let base_ctx = run(SystemConfig::baseline(), &ctx);
-        let ppa_ctx = run(SystemConfig::ppa(), &ctx);
+        let base = run(SystemConfig::baseline(), &app, len);
+        let ppa = run(SystemConfig::ppa(), &app, len);
+        let base_ctx = run(SystemConfig::baseline(), &ctx, len);
+        let ppa_ctx = run(SystemConfig::ppa(), &ctx, len);
         // Fail power while a kernel burst is likely in flight.
         // Recovery probe: a kernel-dense trace so the failure lands inside
         // kernel code with high probability.
@@ -974,17 +968,17 @@ pub fn os() -> TextTable {
 /// The introduction's CXL claim: PPA treats the hierarchy as a black
 /// box, so pushing the persistent memory ~300 ns further away (a
 /// CXL-attached device) must not change its overhead.
-pub fn cxl() -> TextTable {
+pub fn cxl(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "ppa (local PMEM)", "ppa (CXL far PMEM)"]);
     let mut near_s = Vec::new();
     let mut far_s = Vec::new();
     let names = vec!["gcc", "mcf", "libquantum", "rb", "water-ns", "lulesh"];
     for (name, sn, sf) in ppa_pool::par_map_ordered(names, |name| {
         let app = registry::by_name(name).expect("known app");
-        let near_b = run(SystemConfig::baseline(), &app);
-        let near_p = run(SystemConfig::ppa(), &app);
-        let far_b = run(SystemConfig::baseline().with_cxl_far_memory(), &app);
-        let far_p = run(SystemConfig::ppa().with_cxl_far_memory(), &app);
+        let near_b = run(SystemConfig::baseline(), &app, len);
+        let near_p = run(SystemConfig::ppa(), &app, len);
+        let far_b = run(SystemConfig::baseline().with_cxl_far_memory(), &app, len);
+        let far_p = run(SystemConfig::ppa().with_cxl_far_memory(), &app, len);
         (
             name,
             near_p.cycles as f64 / near_b.cycles as f64,
@@ -1007,7 +1001,7 @@ pub fn cxl() -> TextTable {
 /// §2.4's disabled feature: ReplayCache *with* its energy-aware region
 /// splitting (as deployed on energy-harvesting systems) vs the
 /// longest-region variant the paper evaluates.
-pub fn ehs() -> TextTable {
+pub fn ehs(len: usize) -> TextTable {
     use ppa_isa::transform::ReplayCachePass;
     let mut t = TextTable::new([
         "app",
@@ -1019,7 +1013,7 @@ pub fn ehs() -> TextTable {
     let names = vec!["gcc", "hmmer", "x264", "omnetpp"];
     for (name, sp, ss) in ppa_pool::par_map_ordered(names, |name| {
         let app = registry::by_name(name).expect("known app");
-        let raw = app.generate(len_for(&app), SEED);
+        let raw = app.generate(len_for_base(&app, len), SEED);
         let base = Machine::new(SystemConfig::baseline()).run(&raw);
         let plain =
             Machine::new(SystemConfig::replay_cache()).run(&ReplayCachePass::new().apply(&raw));
@@ -1059,11 +1053,12 @@ pub(crate) fn autopersist_cell(app: &AppDescriptor, base_len: usize) -> Vec<f64>
     vec![ap, capri, rc]
 }
 
-pub fn autopersist() -> TextTable {
+pub fn autopersist(len: usize) -> TextTable {
     let mut t = TextTable::new(["app", "autopersist", "capri", "replaycache", "capri-delta"]);
     let (mut ap_total, mut capri_total, mut rc_total) = (0.0f64, 0.0f64, 0.0f64);
     let mut cheaper = 0usize;
-    for (app, v) in crate::gridwork::app_rows("autopersist", registry::all(), autopersist_cell) {
+    for (app, v) in crate::gridwork::app_rows("autopersist", registry::all(), autopersist_cell, len)
+    {
         let (ap, capri, rc) = (v[0], v[1], v[2]);
         ap_total += ap;
         capri_total += capri;
@@ -1108,7 +1103,7 @@ pub fn autopersist() -> TextTable {
 /// `PPA_REPRO_LEN` — litmus programs are a few uops each, so the batch
 /// size, not the trace length, is the knob; seed and size are pinned so
 /// the table is reproducible byte-for-byte.
-pub fn litmus() -> TextTable {
+pub fn litmus(_len: usize) -> TextTable {
     use ppa_litmus::{generate, run_batch_local, GenConfig, RunConfig};
     const TESTS: usize = 24;
     let tests = generate(&GenConfig {
@@ -1153,8 +1148,8 @@ pub fn litmus() -> TextTable {
     t
 }
 
-/// A named experiment generator.
-pub type Experiment = fn() -> TextTable;
+/// A named experiment generator, called with the base trace length.
+pub type Experiment = fn(usize) -> TextTable;
 
 /// Every experiment in paper order, as `(id, generator)` pairs.
 pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
@@ -1267,7 +1262,7 @@ mod tests {
     #[test]
     fn static_tables_render() {
         for f in [table1, table2, table3, table4, table5, table6] {
-            let t = f();
+            let t = f(crate::DEFAULT_LEN);
             assert!(!t.is_empty());
             assert!(!t.to_string().is_empty());
         }
@@ -1275,7 +1270,7 @@ mod tests {
 
     #[test]
     fn ckpt_table_contains_verified_recovery() {
-        let t = ckpt();
+        let t = ckpt(crate::DEFAULT_LEN);
         let s = t.to_string();
         assert!(s.contains("1838"));
         assert!(s.contains("true"));

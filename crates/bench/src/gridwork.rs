@@ -1,6 +1,6 @@
 //! Grid integration for the benchmark harness: partitions experiments
 //! into serializable work units and routes them through an installed
-//! `ppa-grid` coordinator.
+//! [`Grid`].
 //!
 //! Decomposable experiments (those with a cell kernel in
 //! [`crate::experiments::app_cells`]) ship one unit per application,
@@ -12,56 +12,31 @@
 //! output byte-identical to a local run.
 
 use crate::experiments::{self, AppCell};
-use ppa_grid::coord::{Coordinator, UnitRunner, UnitSpec};
-use ppa_grid::loopback::Loopback;
 use ppa_grid::proto::{ByteReader, ByteWriter};
-use ppa_grid::Executor;
-use ppa_serve::ServeClient;
+use ppa_grid::{UnitKind, UnitSpec};
+use ppa_serve::Grid;
 use ppa_workloads::{registry, AppDescriptor};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-/// A live grid attachment for this process: an owned loopback cluster,
-/// a coordinator serving external workers, or a client of a
-/// `ppa-serve` daemon.
-pub enum GridHandle {
-    Loopback(Loopback),
-    Serve(Arc<Coordinator>),
-    Remote(ServeClient),
-}
+/// The benchmark unit vocabulary, as registered with grid workers.
+pub const UNITS: UnitKind = UnitKind {
+    prefix: "repro.",
+    execute,
+    selftest: selftest_units,
+};
 
-impl GridHandle {
-    /// The runner work units are submitted through.
-    pub fn runner(&self) -> &dyn UnitRunner {
-        match self {
-            GridHandle::Loopback(l) => l.coordinator().as_ref(),
-            GridHandle::Serve(c) => c.as_ref(),
-            GridHandle::Remote(client) => client,
-        }
-    }
+static GRID: OnceLock<Grid> = OnceLock::new();
 
-    /// The locally owned coordinator, when the attachment has one
-    /// (`Remote` submits to a daemon-owned coordinator instead).
-    pub fn coordinator(&self) -> Option<&Arc<Coordinator>> {
-        match self {
-            GridHandle::Loopback(l) => Some(l.coordinator()),
-            GridHandle::Serve(c) => Some(c),
-            GridHandle::Remote(_) => None,
-        }
+/// Installs the process-wide grid; experiments dispatch through it
+/// from then on. Panics if a grid is already installed.
+pub fn install(grid: Grid) {
+    if GRID.set(grid).is_err() {
+        panic!("a grid is already installed for this process");
     }
 }
 
-static GRID: OnceLock<GridHandle> = OnceLock::new();
-
-/// Installs the process-wide grid handle; experiments dispatch through
-/// it from then on. Panics if a grid is already installed.
-pub fn install(handle: GridHandle) {
-    if GRID.set(handle).is_err() {
-        panic!("a grid handle is already installed for this process");
-    }
-}
-
-/// The installed grid handle, if any.
-pub fn active() -> Option<&'static GridHandle> {
+/// The installed grid, if any.
+pub fn active() -> Option<&'static Grid> {
     GRID.get()
 }
 
@@ -117,16 +92,16 @@ fn decode_row(payload: &[u8]) -> Result<Vec<f64>, String> {
     Ok(out)
 }
 
-/// Evaluates `cell` for every application of `exp`, through the grid
-/// when one is installed and via the local pool otherwise. Rows come
-/// back in `apps` order either way, so rendered tables are
-/// byte-identical across grid configurations.
+/// Evaluates `cell` at base length `base` for every application of
+/// `exp`, through the grid when one is installed and via the local pool
+/// otherwise. Rows come back in `apps` order either way, so rendered
+/// tables are byte-identical across grid configurations.
 pub(crate) fn app_rows(
     exp: &str,
     apps: Vec<AppDescriptor>,
     cell: AppCell,
+    base: usize,
 ) -> Vec<(AppDescriptor, Vec<f64>)> {
-    let base = crate::experiment_len();
     let Some(grid) = active() else {
         return ppa_pool::par_map_ordered(apps, move |app| {
             let v = cell(&app, base);
@@ -149,18 +124,19 @@ pub(crate) fn app_rows(
         .collect()
 }
 
-/// Renders one experiment: locally when no grid is installed or the
-/// experiment decomposes (its per-app cells already went through
-/// [`app_rows`]), and as a single remote unit otherwise.
-pub fn render_experiment(id: &str, f: crate::experiments::Experiment) -> String {
+/// Renders one experiment at base trace length `len`: locally when no
+/// grid is installed or the experiment decomposes (its per-app cells
+/// already went through [`app_rows`]), and as a single remote unit
+/// otherwise.
+pub fn render_experiment(id: &str, f: crate::experiments::Experiment, len: usize) -> String {
     let Some(grid) = active() else {
-        return f().to_string();
+        return f(len).to_string();
     };
     if decomposable(id) {
         // The table shell renders locally; each row is a grid unit.
-        return f().to_string();
+        return f(len).to_string();
     }
-    let unit = exp_unit(id, crate::experiment_len());
+    let unit = exp_unit(id, len);
     let mut results = grid.runner().run_units(vec![unit]);
     match results.remove(0) {
         Ok(outcome) => String::from_utf8(outcome.payload)
@@ -171,8 +147,6 @@ pub fn render_experiment(id: &str, f: crate::experiments::Experiment) -> String 
 
 /// Builds the per-app unit list for a decomposable experiment at an
 /// explicit base length, or `None` when `exp` only ships whole.
-/// `ppa-grid selftest` uses this to generate representative transport
-/// traffic without rendering tables.
 pub fn units_for(exp: &str, base_len: usize) -> Option<Vec<UnitSpec>> {
     experiments::app_cells()
         .into_iter()
@@ -183,6 +157,13 @@ pub fn units_for(exp: &str, base_len: usize) -> Option<Vec<UnitSpec>> {
                 .map(|app| app_unit(exp, app, base_len))
                 .collect()
         })
+}
+
+/// Representative transport traffic for `ppa-grid selftest`: every
+/// fig11 app cell (one per workload) at a length that keeps the
+/// self-test in the seconds range.
+fn selftest_units() -> Vec<UnitSpec> {
+    units_for("fig11", 4_000).expect("fig11 decomposes")
 }
 
 /// Worker-side dispatcher for `repro.*` unit tags.
@@ -208,25 +189,14 @@ pub fn execute(tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
                 "tag names experiment '{exp}' but payload names '{payload_exp}'"
             ));
         }
-        crate::set_experiment_len_override(base_len);
         let f = experiments::all_experiments()
             .into_iter()
             .find(|(id, _)| *id == exp)
             .map(|(_, f)| f)
             .ok_or_else(|| format!("unknown experiment '{exp}'"))?;
-        Ok(f().to_string().into_bytes())
+        Ok(f(base_len).to_string().into_bytes())
     } else {
         Err(format!("unknown unit tag '{tag}'"))
-    }
-}
-
-/// [`Executor`] over the benchmark unit vocabulary, used by loopback
-/// self-tests and the `ppa-grid work` worker.
-pub struct BenchExecutor;
-
-impl Executor for BenchExecutor {
-    fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        execute(tag, payload)
     }
 }
 

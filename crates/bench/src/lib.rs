@@ -22,25 +22,11 @@ pub const DEFAULT_LEN: usize = 40_000;
 /// Deterministic seed used by every experiment.
 pub const SEED: u64 = 1;
 
-/// Length override installed by grid workers so a dispatched work unit
-/// reproduces the coordinator's trace sizing instead of consulting the
-/// worker's own environment. Zero means "unset".
-static LEN_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Pins [`experiment_len`] to `len` for this process. Grid workers call
-/// this before rendering a whole-experiment work unit; all units of one
-/// run carry the same length, so late writes are idempotent.
-pub fn set_experiment_len_override(len: usize) {
-    LEN_OVERRIDE.store(len, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Resolves the experiment length from the grid override, `PPA_REPRO_LEN`,
-/// or the default, in that order.
+/// Resolves the base experiment length from `PPA_REPRO_LEN`, or the
+/// default. Front-ends read it once per run and pass it to every
+/// experiment; grid units carry it in their payload, so a worker never
+/// consults its own environment.
 pub fn experiment_len() -> usize {
-    let pinned = LEN_OVERRIDE.load(std::sync::atomic::Ordering::SeqCst);
-    if pinned != 0 {
-        return pinned;
-    }
     std::env::var("PPA_REPRO_LEN")
         .ok()
         .and_then(|s| s.parse().ok())

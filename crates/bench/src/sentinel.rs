@@ -130,12 +130,13 @@ pub fn compare(
 ) -> Result<SentinelReport, String> {
     assert!(cfg.runs >= 1, "need at least one timing run");
     let baseline = load_baseline(&cfg.baseline)?;
+    let len = crate::experiment_len();
     let mut verdicts = Vec::with_capacity(selected.len());
     for &(id, f) in selected {
         let (mut min_ns, mut max_ns) = (u64::MAX, 0u64);
         for _ in 0..cfg.runs {
             let t0 = Instant::now();
-            let table = gridwork::render_experiment(id, f);
+            let table = gridwork::render_experiment(id, f, len);
             let ns = t0.elapsed().as_nanos() as u64;
             // Tables render deterministically; consuming the length
             // keeps the whole run from being optimized away.
@@ -175,7 +176,7 @@ pub fn compare(
         runs: cfg.runs,
     };
     if let Some(history) = &cfg.history {
-        append_history(history, &report)?;
+        append_history(history, &report, len)?;
     }
     Ok(report)
 }
@@ -184,16 +185,18 @@ pub fn compare(
 /// file. Keys are written in a fixed order (and experiments sorted by
 /// id) so the file stays deterministic modulo the measurements
 /// themselves.
-fn append_history(path: &std::path::Path, report: &SentinelReport) -> Result<(), String> {
+fn append_history(
+    path: &std::path::Path,
+    report: &SentinelReport,
+    len: usize,
+) -> Result<(), String> {
     let ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let mut line = format!(
-        "{{\"ts\": {ts}, \"len\": {}, \"runs\": {}, \"threshold\": {}, \"experiments\": {{",
-        crate::experiment_len(),
-        report.runs,
-        report.threshold
+        "{{\"ts\": {ts}, \"len\": {len}, \"runs\": {}, \"threshold\": {}, \"experiments\": {{",
+        report.runs, report.threshold
     );
     let mut sorted: Vec<&Verdict> = report.verdicts.iter().collect();
     sorted.sort_by_key(|v| v.id);
@@ -227,7 +230,7 @@ fn append_history(path: &std::path::Path, report: &SentinelReport) -> Result<(),
 mod tests {
     use super::*;
 
-    fn tiny_table() -> ppa_stats::TextTable {
+    fn tiny_table(_len: usize) -> ppa_stats::TextTable {
         ppa_stats::TextTable::new(["k", "v"])
     }
 

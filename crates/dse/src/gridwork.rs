@@ -12,13 +12,17 @@ use crate::explore::CellEval;
 use crate::objectives::{CellResult, CellSpec};
 use crate::space::DesignPoint;
 use ppa_core::PersistenceMode;
-use ppa_grid::coord::{Coordinator, GridConfig, UnitRunner, UnitSpec};
-use ppa_grid::loopback::{self, Loopback};
 use ppa_grid::proto::{ByteReader, ByteWriter};
-use ppa_grid::{Executor, GridMode};
-use ppa_serve::ServeClient;
+use ppa_grid::{UnitKind, UnitSpec};
+use ppa_serve::Grid;
 use ppa_sim::Machine;
-use std::sync::Arc;
+
+/// The DSE unit vocabulary, as registered with grid workers.
+pub const UNITS: UnitKind = UnitKind {
+    prefix: "dse.",
+    execute,
+    selftest: selftest_units,
+};
 
 fn mode_code(mode: PersistenceMode) -> u8 {
     match mode {
@@ -152,15 +156,6 @@ pub fn execute(tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
     Ok(encode_result(&run_cell(&decode_spec(payload)?)?))
 }
 
-/// [`Executor`] over the DSE unit vocabulary.
-pub struct DseExecutor;
-
-impl Executor for DseExecutor {
-    fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        execute(tag, payload)
-    }
-}
-
 /// A small representative batch for `ppa-grid selftest`.
 pub fn selftest_units() -> Vec<UnitSpec> {
     let mut capri = DesignPoint::paper_default();
@@ -184,74 +179,6 @@ pub fn selftest_units() -> Vec<UnitSpec> {
     .collect()
 }
 
-/// A live grid attachment owned by the `ppa-dse` binary.
-pub enum GridHandle {
-    Loopback(Loopback),
-    Serve(Arc<Coordinator>),
-    Remote(ServeClient),
-}
-
-impl GridHandle {
-    /// The runner cell units are submitted through.
-    pub fn runner(&self) -> &dyn UnitRunner {
-        match self {
-            GridHandle::Loopback(l) => l.coordinator().as_ref(),
-            GridHandle::Serve(c) => c.as_ref(),
-            GridHandle::Remote(client) => client,
-        }
-    }
-
-    /// The locally owned coordinator, when the attachment has one
-    /// (`Remote` submits to a daemon-owned coordinator instead).
-    pub fn coordinator(&self) -> Option<&Arc<Coordinator>> {
-        match self {
-            GridHandle::Loopback(l) => Some(l.coordinator()),
-            GridHandle::Serve(c) => Some(c),
-            GridHandle::Remote(_) => None,
-        }
-    }
-}
-
-/// Attaches to the requested grid mode with `exec` serving loopback
-/// workers; `Ok(None)` for [`GridMode::Off`].
-pub fn attach(mode: GridMode, exec: Arc<dyn Executor>) -> Result<Option<GridHandle>, String> {
-    match mode {
-        GridMode::Off => Ok(None),
-        GridMode::Loopback(n) => {
-            let jobs = ppa_pool::configured_jobs();
-            let mut workers = vec![
-                ppa_grid::WorkerOptions {
-                    jobs,
-                    ..Default::default()
-                };
-                n
-            ];
-            // Fault injection for the determinism checks: the first
-            // loopback worker drops its connection mid-lease after N
-            // units, and the output must still be byte-identical.
-            if let Some(k) = std::env::var("PPA_GRID_DIE_AFTER")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                workers[0].die_after = Some(k);
-            }
-            let lb = loopback::start(workers, exec, GridConfig::default())
-                .map_err(|e| format!("failed to start loopback grid: {e}"))?;
-            ppa_obs::info!(
-                "grid",
-                "loopback with {n} workers on {}",
-                lb.coordinator().local_addr()
-            );
-            Ok(Some(GridHandle::Loopback(lb)))
-        }
-        GridMode::Serve(addr) => {
-            let client = ServeClient::connect(addr.as_str())?;
-            ppa_obs::info!("grid", "submitting to ppa-serve daemon at {addr}");
-            Ok(Some(GridHandle::Remote(client)))
-        }
-    }
-}
-
 /// Local evaluation: cells fan out across the shared pool (serial
 /// unless `PPA_JOBS`/`--jobs` asks otherwise), results in input order.
 pub struct LocalEval;
@@ -267,7 +194,7 @@ impl CellEval for LocalEval {
 /// Grid evaluation: cells ship as `dse.cell:` units; results come back
 /// in submission order (and, against a daemon, from its result cache
 /// when already computed).
-pub struct GridEval<'a>(pub &'a GridHandle);
+pub struct GridEval<'a>(pub &'a Grid);
 
 impl CellEval for GridEval<'_> {
     fn eval(&self, cells: Vec<CellSpec>) -> Result<Vec<CellResult>, String> {

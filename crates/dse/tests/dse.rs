@@ -1,11 +1,11 @@
 //! End-to-end sweeps on the real simulator, plus seeded-loop property
 //! tests of the Pareto helpers.
 
-use ppa_dse::gridwork::{self, DseExecutor, GridEval, GridHandle, LocalEval};
+use ppa_dse::gridwork::{self, GridEval, LocalEval};
 use ppa_dse::{dominates, explore, frontier_indices, ExploreParams, Objectives, Space};
 use ppa_grid::GridMode;
 use ppa_prng::Prng;
-use std::sync::Arc;
+use ppa_serve::Grid;
 
 fn tiny_params(seed: u64) -> ExploreParams {
     ExploreParams::new(seed, 1_200, vec!["sjeng".into(), "gobmk".into()])
@@ -40,13 +40,11 @@ fn grid_sweep_matches_local() {
     let space = Space::select(&["csq", "mode"]).unwrap();
     let p = tiny_params(2);
     let local = explore(&space, &p, &LocalEval).unwrap();
-    let handle = gridwork::attach(GridMode::Loopback(2), Arc::new(DseExecutor))
+    let handle = Grid::attach(GridMode::Loopback(2), &[gridwork::UNITS])
         .expect("loopback grid starts")
         .expect("loopback is not Off");
     let grid = explore(&space, &p, &GridEval(&handle)).unwrap();
-    if let GridHandle::Loopback(lb) = handle {
-        lb.shutdown();
-    }
+    handle.finish();
     assert_eq!(local, grid, "grid and local sweeps diverged");
 }
 

@@ -23,14 +23,14 @@
 //!   `127.0.0.1`, the self-test mode `ci.sh` smokes.
 //!
 //! The unit vocabulary (tags and payload layouts) belongs to the
-//! callers: `ppa-bench` serializes per-app experiment cells
-//! (`repro.*`), `ppa-verify` serializes (app × failure-point) oracle
-//! cells (`oracle.*`), `ppa-litmus` serializes conformance tests
-//! (`litmus.*`), and `ppa-dse` serializes (configuration × workload)
-//! sweep cells (`dse.*`). The `ppa-grid` binary (`crates/gridcli`)
-//! wires all of them into `serve` / `work` / `selftest` subcommands,
-//! and each harness accepts `--grid` (or `PPA_GRID`) to distribute its
-//! own runs.
+//! callers, each exporting one [`UnitKind`]: `ppa-bench` serializes
+//! per-app experiment cells (`repro.*`), `ppa-verify` serializes
+//! (app × failure-point) oracle cells (`oracle.*`), `ppa-litmus`
+//! serializes conformance tests (`litmus.*`), and `ppa-dse` serializes
+//! (configuration × workload) sweep cells (`dse.*`). [`Units`] routes a
+//! set of kinds by tag prefix; the `ppa-grid` binary (`crates/gridcli`)
+//! runs all four in its `work` / `selftest` subcommands, and each
+//! harness accepts `--grid` (or `PPA_GRID`) to distribute its own runs.
 
 pub mod coord;
 pub mod loopback;
@@ -41,7 +41,7 @@ pub use coord::{
     ConnDispatch, Coordinator, GridConfig, GridError, GridStats, UnitOutcome, UnitRunner, UnitSpec,
 };
 pub use proto::ProtoError;
-pub use worker::{run_worker, Executor, WorkerOptions, WorkerReport};
+pub use worker::{run_worker, Executor, UnitKind, Units, WorkerOptions, WorkerReport};
 
 /// How a harness run uses the grid, parsed from `--grid` / `PPA_GRID`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,8 +51,8 @@ pub enum GridMode {
     /// Self-test mode: spawn this many in-process workers over
     /// `127.0.0.1` and distribute to them.
     Loopback(usize),
-    /// Bind this address and distribute to externally connected
-    /// `ppa-grid work` processes.
+    /// Submit to the `ppa-serve` daemon listening at this address;
+    /// the daemon leases the units to its `ppa-grid work` processes.
     Serve(String),
 }
 
@@ -72,7 +72,7 @@ pub fn parse_grid_mode(s: &str) -> Result<GridMode, String> {
     }
     if let Some(addr) = s.strip_prefix("serve:") {
         if addr.is_empty() {
-            return Err("serve mode needs a listen address, e.g. serve:0.0.0.0:7171".into());
+            return Err("serve mode needs a daemon address, e.g. serve:127.0.0.1:7171".into());
         }
         return Ok(GridMode::Serve(addr.to_string()));
     }
@@ -81,12 +81,12 @@ pub fn parse_grid_mode(s: &str) -> Result<GridMode, String> {
     ))
 }
 
-/// Reads [`GridMode`] from the `PPA_GRID` environment variable; unset
-/// means [`GridMode::Off`].
-pub fn grid_mode_from_env() -> Result<GridMode, String> {
-    match std::env::var("PPA_GRID") {
-        Ok(v) => parse_grid_mode(&v),
-        Err(_) => Ok(GridMode::Off),
+/// Resolves a harness's [`GridMode`]: the `--grid` value when given,
+/// else the `PPA_GRID` environment variable, else [`GridMode::Off`].
+pub fn resolve_grid_mode(flag: Option<&str>) -> Result<GridMode, String> {
+    match flag {
+        Some(v) => parse_grid_mode(v),
+        None => std::env::var("PPA_GRID").map_or(Ok(GridMode::Off), |v| parse_grid_mode(&v)),
     }
 }
 
@@ -107,5 +107,36 @@ mod tests {
         assert!(parse_grid_mode("loopback:x").is_err());
         assert!(parse_grid_mode("serve:").is_err());
         assert!(parse_grid_mode("cluster").is_err());
+    }
+
+    #[test]
+    fn units_route_by_prefix_and_reject_foreign_tags() {
+        fn run_a(tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
+            Ok([b"a=", tag.as_bytes(), payload].concat())
+        }
+        fn run_b(tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
+            Ok([b"b=", tag.as_bytes(), payload].concat())
+        }
+        fn no_units() -> Vec<UnitSpec> {
+            Vec::new()
+        }
+        let units = Units(&[
+            UnitKind {
+                prefix: "a.",
+                execute: run_a,
+                selftest: no_units,
+            },
+            UnitKind {
+                prefix: "b.",
+                execute: run_b,
+                selftest: no_units,
+            },
+        ]);
+        assert_eq!(units.execute("a.cell:1", b"!"), Ok(b"a=a.cell:1!".to_vec()));
+        assert_eq!(units.execute("b.cell:2", b""), Ok(b"b=b.cell:2".to_vec()));
+        assert_eq!(
+            units.execute("c.cell:3", b""),
+            Err("unknown unit tag 'c.cell:3'".to_string())
+        );
     }
 }

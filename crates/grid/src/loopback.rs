@@ -64,6 +64,25 @@ pub fn start_uniform(
     start(vec![opts; n.max(1)], exec, cfg)
 }
 
+/// The workers of an `n`-worker loopback grid as the harness CLIs run
+/// it: each runs `ppa_pool::configured_jobs()` units concurrently, and
+/// `PPA_GRID_DIE_AFTER=K` makes worker 0 drop its connection mid-lease
+/// after K leases — the fault injection the determinism gates use,
+/// under which output must stay byte-identical.
+pub fn harness_workers(n: usize) -> Vec<WorkerOptions> {
+    let mut workers = vec![
+        WorkerOptions {
+            jobs: ppa_pool::configured_jobs(),
+            ..WorkerOptions::default()
+        };
+        n.max(1)
+    ];
+    workers[0].die_after = std::env::var("PPA_GRID_DIE_AFTER")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    workers
+}
+
 impl Loopback {
     /// The embedded coordinator, shareable across submitting threads.
     pub fn coordinator(&self) -> &Arc<Coordinator> {

@@ -22,10 +22,33 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// An application-level unit executor: maps a `(tag, payload)` work
-/// unit to result bytes. Implementations dispatch on the tag prefix
-/// (`"repro."`, `"oracle."`, ...).
+/// unit to result bytes. The harnesses' vocabularies run through
+/// [`Units`], which dispatches on the tag prefix (`"repro."`,
+/// `"oracle."`, ...).
 pub trait Executor: Send + Sync {
     fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String>;
+}
+
+/// One harness's unit vocabulary: every tag starting with `prefix` is
+/// executed by `execute`, and `selftest` builds a small representative
+/// batch for `ppa-grid selftest`.
+pub struct UnitKind {
+    pub prefix: &'static str,
+    pub execute: fn(&str, &[u8]) -> Result<Vec<u8>, String>,
+    pub selftest: fn() -> Vec<crate::UnitSpec>,
+}
+
+/// The [`Executor`] over a set of unit kinds: routes each unit to the
+/// first kind whose prefix its tag carries.
+pub struct Units(pub &'static [UnitKind]);
+
+impl Executor for Units {
+    fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
+        match self.0.iter().find(|k| tag.starts_with(k.prefix)) {
+            Some(kind) => (kind.execute)(tag, payload),
+            None => Err(format!("unknown unit tag '{tag}'")),
+        }
+    }
 }
 
 /// Worker tuning and fault-injection knobs.

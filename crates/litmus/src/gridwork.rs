@@ -8,12 +8,16 @@
 
 use crate::generator::{LitmusOp, LitmusTest};
 use crate::run::{run_test, RunConfig, TestRow};
-use ppa_grid::coord::{Coordinator, GridConfig, UnitRunner, UnitSpec};
-use ppa_grid::loopback::{self, Loopback};
 use ppa_grid::proto::{ByteReader, ByteWriter};
-use ppa_grid::{Executor, GridMode};
-use ppa_serve::ServeClient;
-use std::sync::Arc;
+use ppa_grid::{UnitKind, UnitSpec};
+use ppa_serve::Grid;
+
+/// The litmus unit vocabulary, as registered with grid workers.
+pub const UNITS: UnitKind = UnitKind {
+    prefix: "litmus.",
+    execute,
+    selftest: selftest_units,
+};
 
 fn op_code(op: LitmusOp) -> (u8, u8) {
     match op {
@@ -146,15 +150,6 @@ pub fn execute(tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
     Ok(encode_row(&run_test(&test, &cfg)))
 }
 
-/// [`Executor`] over the litmus unit vocabulary.
-pub struct LitmusExecutor;
-
-impl Executor for LitmusExecutor {
-    fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        execute(tag, payload)
-    }
-}
-
 /// A small representative batch for `ppa-grid selftest`.
 pub fn selftest_units() -> Vec<UnitSpec> {
     let cfg = RunConfig::default();
@@ -165,91 +160,23 @@ pub fn selftest_units() -> Vec<UnitSpec> {
         .collect()
 }
 
-/// A live grid attachment owned by the `ppa-litmus` binary.
-pub enum GridHandle {
-    Loopback(Loopback),
-    Serve(Arc<Coordinator>),
-    Remote(ServeClient),
-}
-
-impl GridHandle {
-    /// The runner work units are submitted through.
-    pub fn runner(&self) -> &dyn UnitRunner {
-        match self {
-            GridHandle::Loopback(l) => l.coordinator().as_ref(),
-            GridHandle::Serve(c) => c.as_ref(),
-            GridHandle::Remote(client) => client,
-        }
-    }
-
-    /// The locally owned coordinator, when the attachment has one
-    /// (`Remote` submits to a daemon-owned coordinator instead).
-    pub fn coordinator(&self) -> Option<&Arc<Coordinator>> {
-        match self {
-            GridHandle::Loopback(l) => Some(l.coordinator()),
-            GridHandle::Serve(c) => Some(c),
-            GridHandle::Remote(_) => None,
-        }
-    }
-}
-
-/// Attaches to the requested grid mode with `exec` serving loopback
-/// workers; `Ok(None)` for [`GridMode::Off`].
-pub fn attach(mode: GridMode, exec: Arc<dyn Executor>) -> Result<Option<GridHandle>, String> {
-    match mode {
-        GridMode::Off => Ok(None),
-        GridMode::Loopback(n) => {
-            let jobs = ppa_pool::configured_jobs();
-            let mut workers = vec![
-                ppa_grid::WorkerOptions {
-                    jobs,
-                    ..Default::default()
-                };
-                n
-            ];
-            // Fault injection for the determinism checks: the first
-            // loopback worker drops its connection mid-lease after N
-            // units, and the output must still be byte-identical.
-            if let Some(k) = std::env::var("PPA_GRID_DIE_AFTER")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                workers[0].die_after = Some(k);
-            }
-            let lb = loopback::start(workers, exec, GridConfig::default())
-                .map_err(|e| format!("failed to start loopback grid: {e}"))?;
-            ppa_obs::info!(
-                "grid",
-                "loopback with {n} workers on {}",
-                lb.coordinator().local_addr()
-            );
-            Ok(Some(GridHandle::Loopback(lb)))
-        }
-        GridMode::Serve(addr) => {
-            let client = ServeClient::connect(addr.as_str())?;
-            ppa_obs::info!("grid", "submitting to ppa-serve daemon at {addr}");
-            Ok(Some(GridHandle::Remote(client)))
-        }
-    }
-}
-
 /// Run a batch either on the attached grid or the local pool; row order is
 /// submission order either way.
 pub fn run_batch(
     tests: &[LitmusTest],
     cfg: &RunConfig,
-    grid: Option<&GridHandle>,
+    grid: Option<&Grid>,
 ) -> Result<Vec<TestRow>, String> {
     match grid {
         None => Ok(crate::run::run_batch_local(tests, cfg)),
-        Some(handle) => {
+        Some(grid) => {
             let units = tests
                 .iter()
                 .enumerate()
                 .map(|(i, t)| test_unit(i, t, cfg))
                 .collect();
             let mut rows = Vec::with_capacity(tests.len());
-            for res in handle.runner().run_units(units) {
+            for res in grid.runner().run_units(units) {
                 let outcome = res.map_err(|e| e.to_string())?;
                 rows.push(decode_row(&outcome.payload)?);
             }

@@ -4,9 +4,9 @@
 
 use ppa_grid::coord::GridConfig;
 use ppa_grid::loopback;
-use ppa_grid::worker::WorkerOptions;
+use ppa_grid::worker::{Units, WorkerOptions};
 use ppa_litmus::generator::{self, GenConfig};
-use ppa_litmus::gridwork::{self, LitmusExecutor};
+use ppa_litmus::gridwork;
 use ppa_litmus::run::{render_batch, run_batch_local, RunConfig};
 use ppa_pool::ThreadPool;
 use std::sync::Arc;
@@ -54,8 +54,12 @@ fn transported_tests_match_local_execution_despite_worker_death() {
         WorkerOptions::default(),
         WorkerOptions::default(),
     ];
-    let lb = loopback::start(opts, Arc::new(LitmusExecutor), GridConfig::default())
-        .expect("loopback grid starts");
+    let lb = loopback::start(
+        opts,
+        Arc::new(Units(&[gridwork::UNITS])),
+        GridConfig::default(),
+    )
+    .expect("loopback grid starts");
     let results = lb.run_units(units.clone());
     for ((unit, exp), res) in units.iter().zip(&expected).zip(results) {
         let outcome = res.expect("every unit completes despite the death");

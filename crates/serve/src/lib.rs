@@ -1,12 +1,14 @@
 //! `ppa-serve` — persistent simulation-as-a-service.
 //!
 //! A long-lived grid coordinator daemon ([`daemon::Daemon`]) that
-//! accepts many concurrent client submissions over the v3 extension of
-//! the `ppa-grid` wire protocol, fronted by a content-addressed result
-//! cache ([`cache::ResultCache`]) and persisted across restarts by
+//! accepts many concurrent client submissions as the service frames of
+//! the `ppa-grid` wire protocol (one `VERSION` for worker and service
+//! frames alike), fronted by a content-addressed result cache
+//! ([`cache::ResultCache`]) and persisted across restarts by
 //! checkpoint/restore ([`checkpoint::Checkpoint`]). Front-ends dial it
 //! through [`client::ServeClient`], an ordinary
-//! [`ppa_grid::UnitRunner`].
+//! [`ppa_grid::UnitRunner`]; the harness CLIs reach it, or an
+//! in-process loopback grid, through one [`grid::Grid`] handle.
 //!
 //! The daemon is the paper's persistence discipline applied to the
 //! infrastructure itself: it checkpoints its own queue and cache the
@@ -18,8 +20,10 @@ pub mod cache;
 pub mod checkpoint;
 pub mod client;
 pub mod daemon;
+pub mod grid;
 
 pub use cache::{unit_key, CacheLimits, ResultCache};
 pub use checkpoint::Checkpoint;
 pub use client::{ServeClient, ServeStats};
 pub use daemon::{Daemon, DaemonOptions};
+pub use grid::Grid;

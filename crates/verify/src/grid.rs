@@ -16,14 +16,17 @@
 //! identity, so exhausted retries name the failing app and point.
 
 use crate::oracle::{self, OracleOutcome};
-use ppa_grid::coord::{Coordinator, GridConfig, UnitRunner, UnitSpec};
-use ppa_grid::loopback::{self, Loopback};
 use ppa_grid::proto::{ByteReader, ByteWriter};
-use ppa_grid::{Executor, GridMode};
+use ppa_grid::{UnitKind, UnitRunner, UnitSpec};
 use ppa_prng::Prng;
-use ppa_serve::ServeClient;
 use ppa_workloads::registry;
-use std::sync::Arc;
+
+/// The oracle unit vocabulary, as registered with grid workers.
+pub const UNITS: UnitKind = UnitKind {
+    prefix: "oracle.",
+    execute,
+    selftest: selftest_units,
+};
 
 /// One row of `ppa-verify oracle` output, whether computed locally or
 /// returned by a grid cell.
@@ -205,71 +208,6 @@ fn oracle_total_cycles(app: &ppa_workloads::AppDescriptor, len: usize, seed: u64
     let mut mem = MemorySystem::new(MemConfig::memory_mode(), 1);
     let mut core = Core::new(cfg, 0);
     core.run(&trace, &mut mem)
-}
-
-/// [`Executor`] over the verification unit vocabulary.
-pub struct VerifyExecutor;
-
-impl Executor for VerifyExecutor {
-    fn execute(&self, tag: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        execute(tag, payload)
-    }
-}
-
-/// A live grid attachment owned by the `ppa-verify` binary.
-pub enum GridHandle {
-    Loopback(Loopback),
-    Serve(Arc<Coordinator>),
-    Remote(ServeClient),
-}
-
-impl GridHandle {
-    /// The runner work units are submitted through.
-    pub fn runner(&self) -> &dyn UnitRunner {
-        match self {
-            GridHandle::Loopback(l) => l.coordinator().as_ref(),
-            GridHandle::Serve(c) => c.as_ref(),
-            GridHandle::Remote(client) => client,
-        }
-    }
-
-    /// The locally owned coordinator, when the attachment has one
-    /// (`Remote` submits to a daemon-owned coordinator instead).
-    pub fn coordinator(&self) -> Option<&Arc<Coordinator>> {
-        match self {
-            GridHandle::Loopback(l) => Some(l.coordinator()),
-            GridHandle::Serve(c) => Some(c),
-            GridHandle::Remote(_) => None,
-        }
-    }
-}
-
-/// Attaches to the requested grid mode with `exec` serving loopback
-/// workers; `Ok(None)` for [`GridMode::Off`].
-pub fn attach(mode: GridMode, exec: Arc<dyn Executor>) -> Result<Option<GridHandle>, String> {
-    match mode {
-        GridMode::Off => Ok(None),
-        GridMode::Loopback(n) => {
-            let lb = loopback::start_uniform(
-                n,
-                ppa_pool::configured_jobs(),
-                exec,
-                GridConfig::default(),
-            )
-            .map_err(|e| format!("failed to start loopback grid: {e}"))?;
-            ppa_obs::info!(
-                "grid",
-                "loopback with {n} workers on {}",
-                lb.coordinator().local_addr()
-            );
-            Ok(Some(GridHandle::Loopback(lb)))
-        }
-        GridMode::Serve(addr) => {
-            let client = ServeClient::connect(addr.as_str())?;
-            ppa_obs::info!("grid", "submitting to ppa-serve daemon at {addr}");
-            Ok(Some(GridHandle::Remote(client)))
-        }
-    }
 }
 
 #[cfg(test)]
